@@ -8,6 +8,7 @@
 #include "common/fault_injector.h"
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "exec/operators.h"
 #include "expr/evaluator.h"
 #include "sql/parser.h"
 
@@ -697,6 +698,47 @@ void Session::RecordAccessedOverflows(const AccessedStateRegistry& registry) {
 
 // --- DML ----------------------------------------------------------------------
 
+namespace {
+
+// Collects the live rows an UPDATE or DELETE targets, in ascending slot
+// order, before any of them is written. A `col = <row-invariant>` conjunct
+// (SeqScanOp's index rule) takes its candidates from the column's index, a
+// NULL key matching nothing; without one every live slot is examined. Each
+// candidate must still pass the full WHERE. `ec` carries the statement's
+// ExecContext and any trigger OLD/NEW row; the rows examined are added to
+// `stats->rows_scanned`.
+Result<std::vector<size_t>> CollectTargetRows(Table* table, const Expr* filter,
+                                              EvalContext* ec, ExecStats* stats) {
+  std::vector<size_t> candidates;
+  const Expr* key_expr = nullptr;
+  int col = filter != nullptr ? FindIndexableConjunct(*filter, &key_expr) : -1;
+  if (col >= 0) {
+    ec->BindRow(nullptr);
+    SELTRIG_ASSIGN_OR_RETURN(Value key, EvalExpr(*key_expr, *ec));
+    if (key.is_null()) return candidates;
+    // A copy: the writes that follow change the index under the reference.
+    candidates = table->LookupBySecondary(col, key);
+  } else {
+    candidates.reserve(table->live_row_count());
+    for (size_t id = 0; id < table->slot_count(); ++id) {
+      if (table->IsLive(id)) candidates.push_back(id);
+    }
+  }
+  stats->rows_scanned += candidates.size();
+  if (filter == nullptr) return candidates;
+  std::vector<size_t> targets;
+  Row row;
+  for (size_t id : candidates) {
+    table->MaterializeRow(id, &row);
+    ec->BindRow(&row);
+    SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*filter, *ec));
+    if (pass) targets.push_back(id);
+  }
+  return targets;
+}
+
+}  // namespace
+
 Status Session::CoerceRowToSchema(const Schema& schema, Row* row,
                                   const std::string& what) const {
   for (size_t i = 0; i < row->size(); ++i) {
@@ -783,32 +825,20 @@ Result<StatementResult> Session::ExecuteUpdate(const ast::UpdateStatement& stmt,
   ctx.set_batch_size(options.batch_size);
   ctx.set_columnar(options.columnar);
   Executor executor(&ctx);  // installs the subquery runner for predicates
+  EvalContext ec;
+  ec.exec = &ctx;
+  if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
 
   // Phase 1: collect matching rows (avoids mutating while scanning).
-  std::vector<size_t> row_ids;
-  for (size_t id = 0; id < table->slot_count(); ++id) {
-    if (!table->IsLive(id)) continue;
-    const Row& row = table->GetRow(id);
-    if (bound.filter != nullptr) {
-      EvalContext ec;
-      ec.row = &row;
-      ec.exec = &ctx;
-      if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-      SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*bound.filter, ec));
-      if (!pass) continue;
-    }
-    row_ids.push_back(id);
-  }
+  SELTRIG_ASSIGN_OR_RETURN(std::vector<size_t> row_ids,
+                           CollectTargetRows(table, bound.filter.get(), &ec, &ctx.stats()));
 
   // Phase 2: apply assignments (all reading the OLD row, per SQL semantics).
   std::vector<Row> old_rows, new_rows;
   for (size_t id : row_ids) {
     Row old_row = table->GetRow(id);
     Row new_row = old_row;
-    EvalContext ec;
-    ec.row = &old_row;
-    ec.exec = &ctx;
-    if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
+    ec.BindRow(&old_row);
     for (const auto& [col, expr] : bound.assignments) {
       SELTRIG_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, ec));
       new_row[col] = std::move(v);
@@ -829,6 +859,7 @@ Result<StatementResult> Session::ExecuteUpdate(const ast::UpdateStatement& stmt,
 
   StatementResult result;
   result.result.affected_rows = static_cast<int64_t>(row_ids.size());
+  result.stats = ctx.stats();
   return result;
 }
 
@@ -845,21 +876,12 @@ Result<StatementResult> Session::ExecuteDelete(const ast::DeleteStatement& stmt,
   ctx.set_batch_size(options.batch_size);
   ctx.set_columnar(options.columnar);
   Executor executor(&ctx);
+  EvalContext ec;
+  ec.exec = &ctx;
+  if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
 
-  std::vector<size_t> row_ids;
-  for (size_t id = 0; id < table->slot_count(); ++id) {
-    if (!table->IsLive(id)) continue;
-    const Row& row = table->GetRow(id);
-    if (bound.filter != nullptr) {
-      EvalContext ec;
-      ec.row = &row;
-      ec.exec = &ctx;
-      if (action != nullptr && action->row != nullptr) ec.outer_rows = {action->row};
-      SELTRIG_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*bound.filter, ec));
-      if (!pass) continue;
-    }
-    row_ids.push_back(id);
-  }
+  SELTRIG_ASSIGN_OR_RETURN(std::vector<size_t> row_ids,
+                           CollectTargetRows(table, bound.filter.get(), &ec, &ctx.stats()));
 
   std::vector<Row> deleted;
   for (size_t id : row_ids) {
@@ -875,6 +897,7 @@ Result<StatementResult> Session::ExecuteDelete(const ast::DeleteStatement& stmt,
 
   StatementResult result;
   result.result.affected_rows = static_cast<int64_t>(row_ids.size());
+  result.stats = ctx.stats();
   return result;
 }
 

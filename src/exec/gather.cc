@@ -18,7 +18,8 @@ const LogicalScan* ParallelSpineScan(const LogicalOperator& node) {
       if (scan.virtual_rows != nullptr) return nullptr;
       if (scan.filter != nullptr) {
         if (ContainsSubquery(*scan.filter)) return nullptr;
-        if (FindIndexableScanColumn(*scan.filter) >= 0) return nullptr;
+        const Expr* key = nullptr;
+        if (FindIndexableConjunct(*scan.filter, &key) >= 0) return nullptr;
       }
       return &scan;
     }

@@ -23,29 +23,6 @@ uint64_t NowNs() {
           .count());
 }
 
-// Finds an equality conjunct `column = <row-invariant expr>` usable for a
-// secondary-index probe. Returns the column index, or -1.
-int FindIndexableConjunct(const Expr& pred, const Expr** value_expr) {
-  if (pred.kind == ExprKind::kLogical && pred.logical_op == LogicalOp::kAnd) {
-    int col = FindIndexableConjunct(*pred.children[0], value_expr);
-    if (col >= 0) return col;
-    return FindIndexableConjunct(*pred.children[1], value_expr);
-  }
-  if (pred.kind == ExprKind::kComparison && pred.cmp_op == CompareOp::kEq) {
-    const Expr& l = *pred.children[0];
-    const Expr& r = *pred.children[1];
-    if (l.kind == ExprKind::kColumnRef && ExprIsRowInvariant(r)) {
-      *value_expr = &r;
-      return l.column_index;
-    }
-    if (r.kind == ExprKind::kColumnRef && ExprIsRowInvariant(l)) {
-      *value_expr = &l;
-      return r.column_index;
-    }
-  }
-  return -1;
-}
-
 // Rough output-cardinality estimate for sizing hash tables before a build.
 // Only has to be the right order of magnitude: it seeds reserve() calls, so
 // an underestimate costs rehashes and an overestimate costs memory.
@@ -104,9 +81,25 @@ void FormatProfileNode(const PhysicalOperator& op, int indent, std::string* out)
 
 }  // namespace
 
-int FindIndexableScanColumn(const Expr& pred) {
-  const Expr* value_expr = nullptr;
-  return FindIndexableConjunct(pred, &value_expr);
+int FindIndexableConjunct(const Expr& pred, const Expr** value_expr) {
+  if (pred.kind == ExprKind::kLogical && pred.logical_op == LogicalOp::kAnd) {
+    int col = FindIndexableConjunct(*pred.children[0], value_expr);
+    if (col >= 0) return col;
+    return FindIndexableConjunct(*pred.children[1], value_expr);
+  }
+  if (pred.kind == ExprKind::kComparison && pred.cmp_op == CompareOp::kEq) {
+    const Expr& l = *pred.children[0];
+    const Expr& r = *pred.children[1];
+    if (l.kind == ExprKind::kColumnRef && ExprIsRowInvariant(r)) {
+      *value_expr = &r;
+      return l.column_index;
+    }
+    if (r.kind == ExprKind::kColumnRef && ExprIsRowInvariant(l)) {
+      *value_expr = &l;
+      return r.column_index;
+    }
+  }
+  return -1;
 }
 
 // --- PhysicalOperator --------------------------------------------------------

@@ -121,20 +121,21 @@ using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 // Renders the operator tree with its runtime counters (after execution).
 std::string FormatOperatorProfile(const PhysicalOperator& root);
 
-// Finds an equality conjunct `column = <row-invariant expr>` in a scan filter
-// — the shape SeqScanOp turns into a secondary-index probe. Returns the
-// column index, or -1. Exposed so the parallel-scan eligibility check
-// (exec/gather.cc) can prove a scan will NOT take the index path: an index
-// probe examines a different slot set than a full scan, so rows_scanned
-// would no longer be thread-count-invariant.
-int FindIndexableScanColumn(const Expr& pred);
+// Finds an equality conjunct `column = <row-invariant expr>` in a filter —
+// the shape SeqScanOp, UPDATE and DELETE turn into an index probe. Returns
+// the column index and points `*value_expr` at the key expression, or
+// returns -1. The parallel-scan eligibility check (exec/gather.cc) uses it to
+// prove a scan will NOT take the index path: an index probe examines a
+// different slot set than a full scan, so rows_scanned would no longer be
+// thread-count-invariant.
+int FindIndexableConjunct(const Expr& pred, const Expr** value_expr);
 
 // Scan over a base table or virtual relation, applying the pushed
 // single-table filter and the context's scan exclusions (offline auditing).
 // Fills batches through Table::ScanLiveRange (no per-row virtual calls into
 // storage). When the filter contains an equality conjunct `column =
 // <row-independent expression>` (a constant, or a correlated outer
-// reference), the scan probes a lazily-built secondary hash index instead of
+// reference), the scan probes the table's hash index on that column instead of
 // reading every row -- the index-lookup path that makes correlated EXISTS
 // subqueries (e.g. TPC-H Q22) tractable.
 class SeqScanOp : public PhysicalOperator {
@@ -144,7 +145,7 @@ class SeqScanOp : public PhysicalOperator {
   std::string DebugName() const override;
 
   // Restricts the scan to the slot range [begin, end) — one morsel of a
-  // parallel scan. Range mode never probes the secondary index (the morsel
+  // parallel scan. Range mode never probes the column index (the morsel
   // owns its slots outright; eligibility already excluded indexable filters)
   // and is only meaningful for base-table scans.
   void set_slot_range(size_t begin, size_t end) {
